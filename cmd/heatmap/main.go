@@ -35,7 +35,7 @@ func main() {
 		spp       = flag.Int("spp", 1, "samples per pixel for profiling")
 		quantize  = flag.Int("quantize", 0, "K-means palette size (0 = raw heatmap)")
 		selectPct = flag.Float64("select", 0, "if >0, render the representative-pixel subset (Fig. 8): selected pixels keep their colour, the rest darken")
-		dist      = flag.String("dist", "uniform", "distribution for -select: uniform, lintmp or exptmp")
+		dist      = flag.String("dist", "uniform", "distribution for -select: uniform, lintmp, exptmp, stratified or rankedset")
 		outPath   = flag.String("o", "", "output PPM path (default <scene>.ppm)")
 		seed      = flag.Uint64("seed", 1, "quantization seed")
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
@@ -85,7 +85,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		d, err := distByName(*dist)
+		d, err := sampling.ParseDistribution(strings.ToLower(*dist))
 		if err != nil {
 			fatal(err)
 		}
@@ -119,20 +119,6 @@ func main() {
 	}
 	if err := w.Flush(); err != nil {
 		fatal(err)
-	}
-}
-
-// distByName resolves the Section III-E distribution names.
-func distByName(name string) (sampling.Distribution, error) {
-	switch strings.ToLower(name) {
-	case "uniform":
-		return sampling.Uniform, nil
-	case "lintmp":
-		return sampling.LinTmp, nil
-	case "exptmp":
-		return sampling.ExpTmp, nil
-	default:
-		return 0, fmt.Errorf("unknown distribution %q", name)
 	}
 }
 

@@ -38,7 +38,7 @@ func main() {
 		fatal(err)
 	}
 
-	cfg, err := configByName(*cfgName)
+	cfg, err := config.ByName(*cfgName)
 	if err != nil {
 		fatal(err)
 	}
@@ -66,18 +66,6 @@ func main() {
 	fmt.Printf("%-22s%16d\n", "Instructions", rep.Instructions)
 	fmt.Printf("%-22s%16d\n", "Warps", rep.Warps)
 	fmt.Printf("%-22s%16s\n", "Wall time", rep.WallTime.Round(1e6).String())
-}
-
-// configByName resolves the two Table II configurations.
-func configByName(name string) (config.Config, error) {
-	switch strings.ToLower(name) {
-	case "mobile", "mobilesoc", "soc":
-		return config.MobileSoC(), nil
-	case "rtx2060", "rtx", "turing":
-		return config.RTX2060(), nil
-	default:
-		return config.Config{}, fmt.Errorf("unknown config %q (want mobile or rtx2060)", name)
-	}
 }
 
 func fatal(err error) {

@@ -19,137 +19,66 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
+	"zatel/internal/cli"
 	"zatel/internal/config"
-	"zatel/internal/core"
 	"zatel/internal/experiments"
-	"zatel/internal/faults"
-	"zatel/internal/obs"
 	"zatel/internal/sampling"
 	"zatel/internal/scene"
-	"zatel/internal/store"
 )
 
 func main() {
 	var (
-		res        = flag.Int("res", 256, "square frame resolution")
-		spp        = flag.Int("spp", 1, "samples per pixel")
-		cfgName    = flag.String("config", "rtx2060", "config for per-config sweeps (mobile or rtx2060)")
-		reps       = flag.Int("reps", 5, "random-selection repetitions for table3")
-		sampl      = flag.String("sampling", "", "sampling strategy for the grids: uniform, lintmp, exptmp, stratified or rankedset (empty = uniform; stratified/rankedset add ± error bars)")
-		targetCI   = flag.Float64("target-ci", 0, "adaptive sampling: relative CI half-width target (requires -sampling stratified or rankedset)")
-		replicates = flag.Int("replicates", 0, "replicate sub-draws per round for stratified/rankedset (0 = default 5)")
-		confidence = flag.Float64("confidence", 0, "confidence level for intervals: 0.90, 0.95 or 0.99 (0 = 0.95)")
-		maxRounds  = flag.Int("max-rounds", 0, "adaptive re-draw round cap with -target-ci (0 = default 4)")
-		workers    = flag.Int("workers", 0, "experiment-grid worker pool size (0 = one per CPU core, 1 = serial)")
-		storeSize  = flag.String("store-size", "0", "artifact store byte budget, e.g. 256MiB (0 = unbounded)")
-
-		attempts   = flag.Int("attempts", 1, "max attempts per group instance (retries on failure)")
-		backoff    = flag.Duration("retry-backoff", 0, "base backoff between attempts (doubles, seeded jitter)")
-		jobTimeout = flag.Duration("job-timeout", 0, "per-attempt deadline for a group instance (0 = none)")
-		quorum     = flag.Int("quorum", 0, "surviving groups needed for a degraded prediction (0 = ceil(K/2), <0 = all)")
-
-		injErrors   = flag.Float64("inject-errors", 0, "fault injection: per-attempt error probability in [0,1]")
-		injPanics   = flag.Float64("inject-panics", 0, "fault injection: per-attempt panic probability in [0,1]")
-		injStraggle = flag.Float64("inject-straggle", 0, "fault injection: per-attempt straggler probability in [0,1]")
-		injMean     = flag.Duration("inject-straggle-mean", 50*time.Millisecond, "fault injection: mean straggler delay")
-		injSeed     = flag.Uint64("inject-seed", 1, "fault injection: decision seed")
-
-		traceFile  = flag.String("trace", "", "write a Chrome trace_event JSON of the experiment grid to this file")
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		logLevel   = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
+		res     = flag.Int("res", 256, "square frame resolution")
+		spp     = flag.Int("spp", 1, "samples per pixel")
+		cfgName = flag.String("config", "rtx2060", "config for per-config sweeps (mobile or rtx2060)")
+		reps    = flag.Int("reps", 5, "random-selection repetitions for table3")
+		sampl   = flag.String("sampling", "", "sampling strategy for the grids: uniform, lintmp, exptmp, stratified or rankedset (empty = uniform; stratified/rankedset add ± error bars)")
+		workers = flag.Int("workers", 0, "experiment-grid worker pool size (0 = one per CPU core, 1 = serial)")
 	)
+	common := cli.Register(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		usage()
 	}
 
-	if _, err := obs.SetupLogger(os.Stderr, *logLevel, false); err != nil {
-		fatal(err)
-	}
-
-	// Profiles flush on every exit path, interrupt included, like -trace:
-	// fatal() and the explicit exit points below all run stopProfiles.
 	var err error
-	stopProfiles, err = obs.StartProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err = common.Setup()
 	if err != nil {
 		fatal(err)
 	}
-
-	// Workload traces and quantized heatmaps are shared across every grid
-	// point through the process-wide artifact store; -store-size bounds
-	// its memory on hosts that cannot hold every scene's trace at once.
-	budget, err := store.ParseSize(*storeSize)
-	if err != nil {
-		fatal(err)
-	}
-	store.Default().SetMaxBytes(budget)
 
 	// SIGINT/SIGTERM cancel the grids; already-collected cells still render
 	// (cancelled ones as ERR) before we exit 130.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// -trace attaches a tracer to the grid context: one "point[i]" span per
-	// grid point, with the nested pipeline step spans below each. flushTrace
-	// runs on every exit path so an interrupted sweep still leaves a file.
-	flushTrace := func() {}
-	if *traceFile != "" {
-		tracer := obs.NewTracer()
-		tracer.SetMeta("cmd", "sweep")
-		tracer.SetMeta("experiment", flag.Arg(0))
-		ctx = obs.WithTracer(ctx, tracer)
-		flushTrace = func() {
-			f, err := os.Create(*traceFile)
-			if err == nil {
-				err = tracer.WriteChromeTrace(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sweep: writing trace:", err)
-				return
-			}
-			slog.Info("trace written", "file", *traceFile, "spans", len(tracer.Snapshot()))
+	// -trace records one "point[i]" span per grid point, with the nested
+	// pipeline step spans below each. flushTrace runs on every exit path so
+	// an interrupted sweep still leaves a file.
+	ctx, writeTrace := common.StartTrace(ctx, "cmd", "sweep", "experiment", flag.Arg(0))
+	flushTrace := func() {
+		if err := writeTrace(); err != nil {
+			fmt.Fprintln(os.Stderr, "sweep: writing trace:", err)
 		}
 	}
 
 	settings := experiments.Settings{
 		Width: *res, Height: *res, SPP: *spp, Workers: *workers,
 		Ctx:      ctx,
-		TargetCI: *targetCI,
-		Sampling: core.SamplingOptions{
-			Replicates: *replicates,
-			Confidence: *confidence,
-			MaxRounds:  *maxRounds,
-		},
-		FT: core.FaultTolerance{
-			Attempts: *attempts,
-			Backoff:  *backoff,
-			Timeout:  *jobTimeout,
-			Quorum:   *quorum,
-			Inject: faults.Config{
-				ErrorRate:     *injErrors,
-				PanicRate:     *injPanics,
-				StragglerRate: *injStraggle,
-				StragglerMean: *injMean,
-				Seed:          *injSeed,
-			},
-		},
+		TargetCI: common.TargetCI,
+		Sampling: common.Sampling(),
+		FT:       common.FT(),
 	}
 	settings.Dist, err = sampling.ParseDistribution(strings.ToLower(*sampl))
 	if err != nil {
 		fatal(err)
 	}
-	cfg, err := configByName(*cfgName)
+	cfg, err := config.ByName(*cfgName)
 	if err != nil {
 		fatal(err)
 	}
@@ -267,17 +196,6 @@ func runExperiment(name string, s experiments.Settings, cfg config.Config, reps 
 		usage()
 	}
 	return nil
-}
-
-func configByName(name string) (config.Config, error) {
-	switch strings.ToLower(name) {
-	case "mobile", "mobilesoc", "soc":
-		return config.MobileSoC(), nil
-	case "rtx2060", "rtx", "turing":
-		return config.RTX2060(), nil
-	default:
-		return config.Config{}, fmt.Errorf("unknown config %q (want mobile or rtx2060)", name)
-	}
 }
 
 func usage() {

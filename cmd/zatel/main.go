@@ -15,21 +15,17 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
+	"zatel/internal/cli"
 	"zatel/internal/config"
 	"zatel/internal/core"
-	"zatel/internal/faults"
 	"zatel/internal/metrics"
-	"zatel/internal/obs"
 	"zatel/internal/sampling"
 	"zatel/internal/scene"
-	"zatel/internal/store"
 )
 
 func main() {
@@ -41,10 +37,6 @@ func main() {
 		division   = flag.String("division", "fine", "image-plane division: fine or coarse")
 		dist       = flag.String("dist", "uniform", "pixel distribution: uniform, lintmp, exptmp, stratified or rankedset")
 		sampl      = flag.String("sampling", "", "sampling strategy, an alias for -dist that reads better for the replicated strategies (stratified, rankedset); overrides -dist when set")
-		targetCI   = flag.Float64("target-ci", 0, "adaptive sampling: relative CI half-width target, e.g. 0.05 for ±5% (requires stratified or rankedset; 0 = one round)")
-		replicates = flag.Int("replicates", 0, "replicate sub-draws per round for stratified/rankedset (0 = default 5)")
-		confidence = flag.Float64("confidence", 0, "confidence level for intervals: 0.90, 0.95 or 0.99 (0 = 0.95)")
-		maxRounds  = flag.Int("max-rounds", 0, "adaptive re-draw round cap with -target-ci (0 = default 4)")
 		percent    = flag.Float64("percent", 0, "fixed traced-pixel fraction in (0,1]; 0 uses Eq. 1")
 		maxPercent = flag.Float64("maxpercent", 0, "cap on the Eq. 1 budget (0 = none)")
 		k          = flag.Int("k", 0, "downscaling factor override (0 = gcd rule)")
@@ -54,48 +46,18 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "selection randomness seed")
 		parallel   = flag.Bool("parallel", false, "run the K group instances on the worker pool")
 		workers    = flag.Int("workers", 0, "pool size with -parallel (0 = one per CPU core)")
-		storeSize  = flag.String("store-size", "0", "artifact store byte budget, e.g. 256MiB (0 = unbounded)")
-
-		attempts   = flag.Int("attempts", 1, "max attempts per group instance (retries on failure)")
-		backoff    = flag.Duration("retry-backoff", 0, "base backoff between attempts (doubles, seeded jitter)")
-		jobTimeout = flag.Duration("job-timeout", 0, "per-attempt deadline for a group instance (0 = none)")
-		quorum     = flag.Int("quorum", 0, "surviving groups needed for a degraded prediction (0 = ceil(K/2), <0 = all)")
-
-		injErrors   = flag.Float64("inject-errors", 0, "fault injection: per-attempt error probability in [0,1]")
-		injPanics   = flag.Float64("inject-panics", 0, "fault injection: per-attempt panic probability in [0,1]")
-		injStraggle = flag.Float64("inject-straggle", 0, "fault injection: per-attempt straggler probability in [0,1]")
-		injMean     = flag.Duration("inject-straggle-mean", 50*time.Millisecond, "fault injection: mean straggler delay")
-		injSeed     = flag.Uint64("inject-seed", 1, "fault injection: decision seed")
-
-		traceFile  = flag.String("trace", "", "write a Chrome trace_event JSON of the pipeline to this file (open in chrome://tracing or Perfetto)")
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		logLevel   = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
 	)
+	common := cli.Register(flag.CommandLine)
 	flag.Parse()
 
-	if _, err := obs.SetupLogger(os.Stderr, *logLevel, false); err != nil {
-		fatal(err)
-	}
-
-	// Profiles flush on every exit path, interrupt included, like -trace:
-	// fatal() and the interrupt exit below both run stopProfiles.
-	var perr error
-	stopProfiles, perr = obs.StartProfiles(*cpuProfile, *memProfile)
-	if perr != nil {
-		fatal(perr)
-	}
-	defer stopProfiles()
-
-	// The workload trace, quantized heatmap and any repeat predictions all
-	// flow through the process-wide artifact store; -store-size bounds it.
-	budget, err := store.ParseSize(*storeSize)
+	var err error
+	stopProfiles, err = common.Setup()
 	if err != nil {
 		fatal(err)
 	}
-	store.Default().SetMaxBytes(budget)
+	defer stopProfiles()
 
-	cfg, err := configByName(*cfgName)
+	cfg, err := config.ByName(*cfgName)
 	if err != nil {
 		fatal(err)
 	}
@@ -111,33 +73,12 @@ func main() {
 		Seed:              *seed,
 		Parallel:          *parallel,
 		Workers:           *workers,
-		TargetCIHalfWidth: *targetCI,
-		Sampling: core.SamplingOptions{
-			Replicates: *replicates,
-			Confidence: *confidence,
-			MaxRounds:  *maxRounds,
-		},
-		FT: core.FaultTolerance{
-			Attempts: *attempts,
-			Backoff:  *backoff,
-			Timeout:  *jobTimeout,
-			Quorum:   *quorum,
-			Inject: faults.Config{
-				ErrorRate:     *injErrors,
-				PanicRate:     *injPanics,
-				StragglerRate: *injStraggle,
-				StragglerMean: *injMean,
-				Seed:          *injSeed,
-			},
-		},
+		TargetCIHalfWidth: common.TargetCI,
+		Sampling:          common.Sampling(),
+		FT:                common.FT(),
 	}
-	switch strings.ToLower(*division) {
-	case "fine":
-		opts.Division = core.FineGrained
-	case "coarse":
-		opts.Division = core.CoarseGrained
-	default:
-		fatal(fmt.Errorf("unknown division %q", *division))
+	if opts.Division, err = core.ParseDivision(*division); err != nil {
+		fatal(err)
 	}
 	distName := *dist
 	if *sampl != "" {
@@ -152,24 +93,11 @@ func main() {
 	// jobs, unstarted groups are skipped, and we exit 130.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	// -trace attaches a tracer to the context; every pipeline step, group
-	// job and retry attempt below records a span into it.
-	var tracer *obs.Tracer
-	if *traceFile != "" {
-		tracer = obs.NewTracer()
-		tracer.SetMeta("cmd", "zatel")
-		tracer.SetMeta("scene", *sceneName)
-		tracer.SetMeta("config", cfg.Name)
-		ctx = obs.WithTracer(ctx, tracer)
-	}
+	ctx, flushTrace := common.StartTrace(ctx, "cmd", "zatel", "scene", *sceneName, "config", cfg.Name)
 
 	result, err := core.PredictContext(ctx, opts)
-	if tracer != nil {
-		if werr := writeTrace(*traceFile, tracer); werr != nil {
-			fatal(werr)
-		}
-		slog.Info("trace written", "file", *traceFile, "spans", len(tracer.Snapshot()))
+	if werr := flushTrace(); werr != nil {
+		fatal(werr)
 	}
 	if err != nil {
 		if ctx.Err() != nil || errors.Is(err, context.Canceled) {
@@ -194,7 +122,7 @@ func main() {
 		reps := ""
 		if g.Rounds > 0 {
 			met := ""
-			if *targetCI > 0 {
+			if common.TargetCI > 0 {
 				met = ", target met"
 				if !g.TargetMet {
 					met = ", target unmet"
@@ -215,7 +143,7 @@ func main() {
 
 	if !*compare {
 		if result.Intervals != nil {
-			printIntervals(result, *confidence)
+			printIntervals(result, opts.Sampling.Confidence)
 			return
 		}
 		fmt.Printf("%-22s%16s\n", "Metric", "Predicted")
@@ -239,7 +167,7 @@ func main() {
 	}
 	if result.Intervals != nil {
 		fmt.Println()
-		printIntervals(result, *confidence)
+		printIntervals(result, opts.Sampling.Confidence)
 	}
 	fmt.Printf("\nMAE %.1f%%   speedup %.1fx (full sim %s vs zatel %s)\n",
 		100*metrics.MAE(errs, metrics.All()), result.Speedup(ref),
@@ -266,30 +194,6 @@ func printIntervals(result *core.Result, confFlag float64) {
 			m, result.Predicted[m], iv.Low, iv.High, iv.HalfWidth())
 	}
 	fmt.Printf("(%.0f%% confidence from %d replicate sub-draws per group)\n", 100*conf, reps)
-}
-
-// writeTrace exports the tracer's spans as Chrome trace_event JSON.
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func configByName(name string) (config.Config, error) {
-	switch strings.ToLower(name) {
-	case "mobile", "mobilesoc", "soc":
-		return config.MobileSoC(), nil
-	case "rtx2060", "rtx", "turing":
-		return config.RTX2060(), nil
-	default:
-		return config.Config{}, fmt.Errorf("unknown config %q (want mobile or rtx2060)", name)
-	}
 }
 
 // stopProfiles flushes the -cpuprofile/-memprofile outputs; fatal and the

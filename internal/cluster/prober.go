@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"zatel/internal/vecmath"
+	"zatel/internal/runner"
 )
 
 // ProbeFunc checks one peer's liveness; nil error means healthy. The
@@ -156,19 +156,10 @@ func (p *Prober) MarkHealthy(peer string) {
 }
 
 // backoffFor returns the deterministic re-probe delay before attempt k on
-// peer: exponential from Backoff capped at MaxBackoff, plus up to 50%
-// jitter drawn from the stream keyed (Seed, peer index, k). p.mu held.
+// peer: runner.Backoff keyed (Seed, peer index, k). p.mu held.
 func (p *Prober) backoffFor(peer string, k int) time.Duration {
 	idx := sort.SearchStrings(p.peers, peer)
-	d := p.cfg.Backoff
-	for i := 1; i < k && d < p.cfg.MaxBackoff; i++ {
-		d *= 2
-	}
-	if d > p.cfg.MaxBackoff {
-		d = p.cfg.MaxBackoff
-	}
-	rng := vecmath.NewRNG(p.cfg.Seed).Split(uint64(idx)).Split(uint64(k))
-	return d + time.Duration(rng.Float64()*0.5*float64(d))
+	return runner.Backoff(p.cfg.Backoff, p.cfg.MaxBackoff, p.cfg.Seed, idx, k)
 }
 
 // CheckNow synchronously probes every unhealthy peer whose backoff window

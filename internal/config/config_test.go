@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestTableIIValues(t *testing.T) {
 	soc := MobileSoC()
@@ -156,5 +159,28 @@ func TestGCD(t *testing.T) {
 func TestSchedulerString(t *testing.T) {
 	if GTO.String() != "gto" || RoundRobin.String() != "rr" {
 		t.Error("scheduler names wrong")
+	}
+}
+
+func TestByName(t *testing.T) {
+	for _, tc := range []struct{ name, want string }{
+		{"", "MobileSoC"},
+		{"mobile", "MobileSoC"},
+		{"mobilesoc", "MobileSoC"},
+		{"soc", "MobileSoC"},
+		{"MobileSoC", "MobileSoC"},
+		{"rtx2060", "RTX2060"},
+		{"rtx", "RTX2060"},
+		{"turing", "RTX2060"},
+		{"RTX2060", "RTX2060"},
+	} {
+		c, err := ByName(tc.name)
+		if err != nil || c.Name != tc.want {
+			t.Errorf("ByName(%q) = %q, %v; want %q", tc.name, c.Name, err, tc.want)
+		}
+	}
+	_, err := ByName("volta")
+	if err == nil || !strings.Contains(err.Error(), "mobile or rtx2060") {
+		t.Errorf("ByName(volta) error %v does not name the accepted values", err)
 	}
 }

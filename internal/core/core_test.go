@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"zatel/internal/config"
@@ -286,5 +287,27 @@ func TestErrorsAndSpeedupHelpers(t *testing.T) {
 func TestDivisionString(t *testing.T) {
 	if FineGrained.String() != "fine" || CoarseGrained.String() != "coarse" {
 		t.Error("division names wrong")
+	}
+}
+
+func TestParseDivision(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Division
+	}{
+		{"", FineGrained},
+		{"fine", FineGrained},
+		{"FINE", FineGrained},
+		{"coarse", CoarseGrained},
+		{"Coarse", CoarseGrained},
+	} {
+		d, err := ParseDivision(tc.name)
+		if err != nil || d != tc.want {
+			t.Errorf("ParseDivision(%q) = %v, %v; want %v", tc.name, d, err, tc.want)
+		}
+	}
+	_, err := ParseDivision("tiled")
+	if err == nil || !strings.Contains(err.Error(), "fine or coarse") {
+		t.Errorf("ParseDivision(tiled) error %v does not name the accepted values", err)
 	}
 }

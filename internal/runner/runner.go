@@ -134,21 +134,27 @@ type Policy struct {
 }
 
 // backoffDelay computes the wait between attempt and attempt+1 of job
-// index: Backoff doubled per completed attempt, capped at MaxBackoff, plus
-// up to 50% seeded jitter.
+// index (see Backoff).
 func (p Policy) backoffDelay(index, attempt int) time.Duration {
-	if p.Backoff <= 0 {
+	return Backoff(p.Backoff, p.MaxBackoff, p.JitterSeed, index, attempt)
+}
+
+// Backoff is the one seeded exponential-backoff schedule, shared by the
+// retry loop and the cluster's health prober: the wait before retry
+// attempt+1 of stream index is base·2^(attempt−1) (at most 2^20·base, far
+// beyond any sane deadline), capped at limit when limit > 0, plus up to 50%
+// jitter drawn from the stream keyed (seed, index, attempt). It is a pure
+// function of its arguments, so two runs with one seed wait identically;
+// base <= 0 disables backoff.
+func Backoff(base, limit time.Duration, seed uint64, index, attempt int) time.Duration {
+	if base <= 0 {
 		return 0
 	}
-	exp := attempt - 1
-	if exp > 20 { // 2^20 * Backoff is already beyond any sane deadline
-		exp = 20
+	d := base << uint(min(max(attempt-1, 0), 20))
+	if limit > 0 && d > limit {
+		d = limit
 	}
-	d := p.Backoff << uint(exp)
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	rng := vecmath.NewRNG(p.JitterSeed).Split(uint64(index)).Split(uint64(attempt))
+	rng := vecmath.NewRNG(seed).Split(uint64(index)).Split(uint64(attempt))
 	return d + time.Duration(rng.Float64()*0.5*float64(d))
 }
 
