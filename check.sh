@@ -3,13 +3,18 @@
 # detector (the worker-pool runner makes every experiment grid concurrent,
 # so -race is part of the baseline, not an extra). The full run covers the
 # cycle-exactness golden matrix, the fault-injection and disk soaks, the
-# adaptive-sampling and cluster smokes: every check runs exactly once.
+# adaptive-sampling and cluster smokes: every check runs exactly once. A short
+# fuzz run of the event heap's tie order follows.
 set -eu
 cd "$(dirname "$0")"
 
 go vet ./...
 go build ./...
 go test -race -timeout 10m ./...
+
+# Fuzz smoke: the event heap must pop in exactly the classic heap's order,
+# ties included, because the golden reports freeze that order.
+go test -run '^$' -fuzz '^FuzzEventHeapOrder$' -fuzztime 10s ./internal/gpu
 
 # Docs lint: every package documented, every exported metric name present in
 # OPERATIONS.md.

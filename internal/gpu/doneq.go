@@ -2,59 +2,23 @@ package gpu
 
 // doneQ is a min-heap of completion cycles used to track MSHR occupancy
 // without scanning the in-flight maps: the heap answers "when does the
-// earliest outstanding fill complete" in O(log n).
-type doneQ struct {
-	items []uint64
-}
+// earliest outstanding fill complete" in O(log n). It is the event heap's
+// keys-only core; its values are bare cycles, so pop order has no ties to
+// preserve.
+type doneQ struct{ cycleHeap[struct{}] }
 
-func (q *doneQ) push(c uint64) {
-	q.items = append(q.items, c)
-	i := len(q.items) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if q.items[p] <= q.items[i] {
-			break
-		}
-		q.items[p], q.items[i] = q.items[i], q.items[p]
-		i = p
-	}
-}
+func (q *doneQ) push(c uint64) { q.cycleHeap.push(c, struct{}{}) }
 
 func (q *doneQ) pop() uint64 {
-	top := q.items[0]
-	last := len(q.items) - 1
-	q.items[0] = q.items[last]
-	q.items = q.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < last && q.items[l] < q.items[least] {
-			least = l
-		}
-		if r < last && q.items[r] < q.items[least] {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		q.items[i], q.items[least] = q.items[least], q.items[i]
-		i = least
-	}
-	return top
+	c, _ := q.cycleHeap.pop()
+	return c
 }
-
-func (q *doneQ) len() int    { return len(q.items) }
-func (q *doneQ) min() uint64 { return q.items[0] }
-
-// reset empties the queue, keeping its backing array for a pooled rerun.
-func (q *doneQ) reset() { q.items = q.items[:0] }
 
 // drain pops all completions at or before cycle now and returns how many
 // were retired.
 func (q *doneQ) drain(now uint64) int {
 	n := 0
-	for len(q.items) > 0 && q.items[0] <= now {
+	for q.len() > 0 && q.minCycle() <= now {
 		q.pop()
 		n++
 	}

@@ -16,7 +16,7 @@ func TestDoneQOrdering(t *testing.T) {
 		if q.len() != len(want)-i {
 			t.Fatalf("len = %d", q.len())
 		}
-		if m := q.min(); m != w {
+		if m := q.minCycle(); m != w {
 			t.Fatalf("min = %d, want %d", m, w)
 		}
 		if got := q.pop(); got != w {
@@ -33,8 +33,8 @@ func TestDoneQDrain(t *testing.T) {
 	if n := q.drain(25); n != 2 {
 		t.Errorf("drain(25) retired %d, want 2", n)
 	}
-	if q.len() != 2 || q.min() != 30 {
-		t.Errorf("after drain: len=%d min=%d", q.len(), q.min())
+	if q.len() != 2 || q.minCycle() != 30 {
+		t.Errorf("after drain: len=%d min=%d", q.len(), q.minCycle())
 	}
 	if n := q.drain(5); n != 0 {
 		t.Errorf("drain(5) retired %d, want 0", n)
@@ -64,6 +64,45 @@ func TestDoneQHeapProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDoneQInterleavedVsSort checks doneQ under interleaved pushes, pops
+// and drains against a slice kept in order with sort.
+func TestDoneQInterleavedVsSort(t *testing.T) {
+	f := func(ops []uint16) bool {
+		var q doneQ
+		var model []uint64
+		for _, op := range ops {
+			c := uint64(op >> 2 & 63)
+			switch op & 3 {
+			case 0, 1:
+				q.push(c)
+				model = append(model, c)
+				sort.Slice(model, func(i, j int) bool { return model[i] < model[j] })
+			case 2:
+				if len(model) == 0 {
+					continue
+				}
+				if q.pop() != model[0] {
+					return false
+				}
+				model = model[1:]
+			case 3:
+				n := sort.Search(len(model), func(i int) bool { return model[i] > c })
+				if q.drain(c) != n {
+					return false
+				}
+				model = model[n:]
+			}
+			if q.len() != len(model) || len(model) > 0 && q.minCycle() != model[0] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,17 +1,23 @@
 // The simulator is cycle-driven but event-assisted: components schedule
 // wakeups on a global min-heap so the main loop can skip cycles where
-// nothing can happen. The heap is a hand-rolled binary heap over a struct
-// slice (no interface boxing) because tens of millions of events flow
-// through it per simulated frame.
+// nothing can happen. Tens of millions of events flow through it per
+// simulated frame, and its pop is the simulator's hottest loop.
 //
-// Events are packed into 16 bytes (cycle + one payload word) — heap pushes
-// and pops dominated the pre-optimization CPU profile and their cost is
-// almost entirely memory traffic, so halving the element size directly
-// halves it. Packing is invisible to simulated timing: heap order depends
-// only on the cycle field and the push/pop algorithms are unchanged, so
-// the pop sequence (including ties) is identical to the unpacked heap's.
+// Each event is a cycle plus one packed payload word. The heap keeps the
+// two in parallel arrays, so the pop's descent, a chain of dependent loads,
+// reads only the 8-byte keys. Push fills a hole instead of swapping, and
+// pop is a bottom-up (Wegener) sift with a branchless child choice.
+//
+// The order among equal-cycle events is an accident of the sift algorithm,
+// and the golden reports freeze it. Both operations leave every array state
+// exactly as the classic swap-based sift-up and sift-down would (see
+// cycleHeap.pop for the argument), so the pop sequence, ties included, is
+// unchanged; FuzzEventHeapOrder checks this against a copy of the classic
+// heap.
 
 package gpu
+
+import "math/bits"
 
 type evKind uint8
 
@@ -62,47 +68,92 @@ func (e event) sm() int32    { return int32(e.word >> evSMShift & (evSMLimit - 1
 func (e event) id() int32    { return int32(e.word >> evIDShift & (evIDLimit - 1)) }
 func (e event) uid() uint32  { return uint32(e.word) }
 
-type eventHeap struct {
-	items []event
+// cycleHeap is the simulator's one binary min-heap keyed by cycle, with a
+// payload of type W beside each key. With W = struct{} the payload moves
+// compile away and only the keys remain (doneQ).
+type cycleHeap[W any] struct {
+	cycles []uint64
+	words  []W
 }
 
-func (h *eventHeap) push(e event) {
-	h.items = append(h.items, e)
-	i := len(h.items) - 1
+// push appends c and moves larger ancestors down into the hole until c
+// fits. An equal parent stops the climb, as in the classic sift-up.
+func (h *cycleHeap[W]) push(c uint64, w W) {
+	h.cycles = append(h.cycles, c)
+	h.words = append(h.words, w)
+	cs, ws := h.cycles, h.words
+	i := len(cs) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if h.items[parent].cycle <= h.items[i].cycle {
+		p := (i - 1) / 2
+		if cs[p] <= c {
 			break
 		}
-		h.items[parent], h.items[i] = h.items[i], h.items[parent]
-		i = parent
+		cs[i], ws[i] = cs[p], ws[p]
+		i = p
 	}
+	cs[i], ws[i] = c, w
 }
+
+// pop removes and returns the minimum. The classic sift-down moves the last
+// element x to the root and swaps it with the smaller child (the left one
+// on ties) while that child is strictly smaller than x. pop instead walks
+// the root hole down the same min-child path to a leaf without comparing
+// against x, then climbs back while the parent is not strictly less than
+// x. Keys along the path never decrease, so the path entries below x's
+// classic resting place are exactly those the climb moves back down, and x
+// lands where the classic sift-down would stop.
+func (h *cycleHeap[W]) pop() (uint64, W) {
+	cs, ws := h.cycles, h.words
+	top, topW := cs[0], ws[0]
+	n := len(cs) - 1
+	x, xw := cs[n], ws[n]
+	cs, ws = cs[:n], ws[:n]
+	h.cycles, h.words = cs, ws
+	if n == 0 {
+		return top, topW
+	}
+	i := 0
+	for l := 1; l+1 < len(cs); l = 2*i + 1 {
+		// The right child only when strictly smaller; lt is the borrow of
+		// r-l, so the step has no data-dependent branch.
+		_, lt := bits.Sub64(cs[l+1], cs[l], 0)
+		c := l + int(lt)
+		cs[i], ws[i] = cs[c], ws[c]
+		i = c
+	}
+	if l := 2*i + 1; l < len(cs) {
+		cs[i], ws[i] = cs[l], ws[l]
+		i = l
+	}
+	for i > 0 {
+		p := (i - 1) / 2
+		if cs[p] < x {
+			break
+		}
+		cs[i], ws[i] = cs[p], ws[p]
+		i = p
+	}
+	cs[i], ws[i] = x, xw
+	return top, topW
+}
+
+func (h *cycleHeap[W]) len() int { return len(h.cycles) }
+
+func (h *cycleHeap[W]) minCycle() uint64 { return h.cycles[0] }
+
+// reset empties the heap, keeping its backing arrays for a pooled rerun.
+func (h *cycleHeap[W]) reset() {
+	h.cycles = h.cycles[:0]
+	h.words = h.words[:0]
+}
+
+// eventHeap is the global event queue: a cycleHeap whose payload is the
+// packed event word.
+type eventHeap struct{ cycleHeap[uint64] }
+
+func (h *eventHeap) push(e event) { h.cycleHeap.push(e.cycle, e.word) }
 
 func (h *eventHeap) pop() event {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && h.items[l].cycle < h.items[smallest].cycle {
-			smallest = l
-		}
-		if r < last && h.items[r].cycle < h.items[smallest].cycle {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
-	}
-	return top
+	c, w := h.cycleHeap.pop()
+	return event{cycle: c, word: w}
 }
-
-func (h *eventHeap) len() int { return len(h.items) }
-
-func (h *eventHeap) minCycle() uint64 { return h.items[0].cycle }

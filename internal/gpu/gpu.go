@@ -254,7 +254,7 @@ func newSim(cfg config.Config, src rt.TraceSource) (*Sim, error) {
 // reset restores a pooled simulator to the state newSim leaves it in before
 // start, reusing every allocation.
 func (sim *Sim) reset() {
-	sim.events.items = sim.events.items[:0]
+	sim.events.reset()
 	for _, s := range sim.sms {
 		s.reset()
 	}
